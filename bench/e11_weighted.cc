@@ -13,7 +13,7 @@
 // JSON dump (--json_out, default BENCH_e11.json) records the unified
 // engine's timings before/after the parametric probe rung
 // (incremental_probe off = rebuild-per-guess, the cost shape of the
-// deleted hand-mirrored WeightedCoreExact before it gained network
+// deleted hand-mirrored weighted exact engine before it gained network
 // reuse) so the weighted perf trajectory is tracked across PRs.
 
 #include <algorithm>
@@ -24,8 +24,8 @@
 #include <sstream>
 
 #include "bench_common.h"
+#include "core/core_approx.h"
 #include "dds/core_exact.h"
-#include "dds/weighted_dds.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -94,7 +94,8 @@ int Main(int argc, const char* const* argv) {
   double t_weighted = 0;
   double t_weighted_fresh = 0;
   {
-    const double secs = TimeOnce([&] { plain = CoreExact(g); });
+    const double secs =
+        TimeOnce([&] { plain = SolveExactDds(g, ExactOptions{}); });
     t.AddRow({"core-exact (unweighted)", "|E|/sqrt(|S||T|)",
               FormatDouble(plain.density, 3),
               std::to_string(plain.pair.s.size()),
@@ -108,13 +109,14 @@ int Main(int argc, const char* const* argv) {
     // timing once reported a spurious <1.0 "speedup" here.
     ExactOptions fresh_options;
     fresh_options.incremental_probe = false;
-    (void)WeightedCoreExact(wg);
+    (void)SolveExactDds(wg, ExactOptions{});
     (void)SolveExactDds(wg, fresh_options);
     t_weighted = 1e99;
     t_weighted_fresh = 1e99;
     for (int rep = 0; rep < 3; ++rep) {
-      t_weighted = std::min(
-          t_weighted, TimeOnce([&] { weighted = WeightedCoreExact(wg); }));
+      t_weighted = std::min(t_weighted, TimeOnce([&] {
+                              weighted = SolveExactDds(wg, ExactOptions{});
+                            }));
       t_weighted_fresh = std::min(
           t_weighted_fresh,
           TimeOnce([&] { weighted_fresh = SolveExactDds(wg, fresh_options); }));
@@ -131,10 +133,10 @@ int Main(int argc, const char* const* argv) {
               RangeOf(weighted_fresh.pair.s),
               FormatSeconds(t_weighted_fresh)});
   }
-  WeightedCoreApproxResult approx;
+  CoreApproxResult approx;
   double t_approx = 0;
   {
-    t_approx = TimeOnce([&] { approx = WeightedCoreApprox(wg); });
+    t_approx = TimeOnce([&] { approx = CoreApprox(wg); });
     std::string core_cell = "[";
     core_cell += std::to_string(approx.best_x);
     core_cell += ",";
@@ -153,7 +155,7 @@ int Main(int argc, const char* const* argv) {
   // keep the audit robust to future preset drift).
   const WeightedDigraph unit = WeightedDigraph::FromDigraph(g);
   const double d_plain = plain.density;
-  const double d_weighted = WeightedCoreExact(unit).density;
+  const double d_weighted = SolveExactDds(unit, ExactOptions{}).density;
   std::printf("\nunit-weight agreement: unweighted %.6f vs weighted %.6f\n",
               d_plain, d_weighted);
   if (std::abs(weighted_fresh.density - weighted.density) > 1e-9) {

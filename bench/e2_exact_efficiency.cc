@@ -19,7 +19,6 @@
 #include "bench_common.h"
 #include "dds/core_exact.h"
 #include "dds/engine.h"
-#include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -62,14 +61,21 @@ int Main(int argc, const char* const* argv) {
   std::ostringstream json;
   json << "{\n  \"experiment\": \"e2_exact_efficiency\",\n  \"datasets\": [";
   bool first_dataset = true;
+  const ExactOptions flow_preset =
+      ExactPresetFor(DdsAlgorithm::kFlowExact, ExactOptions{});
+  const ExactOptions dc_preset =
+      ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{});
   for (const Dataset& d : ExactDatasets(*quick)) {
     DdsSolution flow;
     DdsSolution dc;
     DdsSolution core;
     DdsSolution core_fresh;
-    const double t_flow = TimeOnce([&] { flow = FlowExact(d.graph); });
-    const double t_dc = TimeOnce([&] { dc = DcExact(d.graph); });
-    const double t_core = TimeOnce([&] { core = CoreExact(d.graph); });
+    const double t_flow =
+        TimeOnce([&] { flow = SolveExactDds(d.graph, flow_preset); });
+    const double t_dc =
+        TimeOnce([&] { dc = SolveExactDds(d.graph, dc_preset); });
+    const double t_core =
+        TimeOnce([&] { core = SolveExactDds(d.graph, ExactOptions{}); });
     // The before/after of the parametric probe engine: same trajectory,
     // rebuilt + cold-solved at every guess (an upper bound on the seed
     // cost, which built per-guess refined cores — see ExactOptions).

@@ -7,8 +7,8 @@
 // The public API in three steps: build a Digraph, solve through a
 // DdsEngine (construct it once per graph, then issue DdsRequests — the
 // engine keeps its solver scratch warm across queries), inspect the
-// returned (S, T) pair. One-shot free functions like CoreExact(g) remain
-// available when a single query is all you need.
+// returned (S, T) pair. DdsEngine is the one entry point for every
+// registered algorithm.
 
 #include <cstdio>
 
@@ -62,7 +62,7 @@ int main() {
       static_cast<long long>(approx.stats.prior_engine_solves + 1));
 
   // The density of any pair can be evaluated directly.
-  const double fans_to_celebs = DirectedDensity(graph, {0, 1, 2}, {3, 4});
+  const double fans_to_celebs = PairDensity(graph, {0, 1, 2}, {3, 4});
   std::printf("\nrho({fans}, {celebrities}) = %.4f\n", fans_to_celebs);
   return 0;
 }

@@ -24,9 +24,8 @@
 /// less.
 ///
 /// The sweep is a template over `DigraphT<WeightPolicy>`: the weighted
-/// instantiation is the weighted 2-approximation (dds/weighted_dds.h keeps
-/// the `WeightedCoreApprox` name), with identical guarantees under
-/// w(E(S,T)).
+/// instantiation is the weighted 2-approximation, with identical
+/// guarantees under w(E(S,T)).
 
 namespace ddsgraph {
 

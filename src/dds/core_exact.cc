@@ -10,7 +10,6 @@
 #include "core/core_approx.h"
 #include "core/xy_core.h"
 #include "dds/ratio_space.h"
-#include "dds/solver.h"
 #include "flow/dds_network.h"
 #include "flow/dinic.h"
 #include "flow/flow_engine.h"
@@ -849,14 +848,5 @@ template DdsSolution SolveExactDds<WeightedDigraph>(const WeightedDigraph&,
                                                     const ExactOptions&,
                                                     SolveControl*,
                                                     ProbeWorkspace*);
-
-DdsSolution CoreExact(const Digraph& g) {
-  return SolveExactDds(g, ExactOptions{});
-}
-
-DdsSolution DcExact(const Digraph& g) {
-  return SolveExactDds(
-      g, ExactPresetFor(DdsAlgorithm::kDcExact, ExactOptions{}));
-}
 
 }  // namespace ddsgraph

@@ -21,8 +21,7 @@
 /// weighted graphs verbatim with |E| -> w(E) (DESIGN.md §9), so one
 /// divide-and-conquer loop, one probe and one anytime-bookkeeping path
 /// serve both problems, and every `ExactOptions` flag below applies to
-/// weighted solves too (`WeightedCoreExact` in dds/weighted_dds.h is a
-/// thin preset over the weighted instantiation).
+/// weighted solves too.
 ///
 /// One engine implements three published algorithms via feature flags
 /// (DESIGN.md §3), which is also how the ablation experiment E7 is run:
@@ -247,13 +246,6 @@ extern template DdsSolution SolveExactDds<Digraph>(const Digraph&,
 extern template DdsSolution SolveExactDds<WeightedDigraph>(
     const WeightedDigraph&, const ExactOptions&, SolveControl*,
     ProbeWorkspace*);
-
-/// The paper's exact algorithm: all optimizations enabled.
-DdsSolution CoreExact(const Digraph& g);
-
-/// Divide and conquer only (no core pruning, no warm start) — the middle
-/// rung of the ablation ladder.
-DdsSolution DcExact(const Digraph& g);
 
 }  // namespace ddsgraph
 

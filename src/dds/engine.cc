@@ -6,10 +6,8 @@
 
 #include "core/core_approx.h"
 #include "dds/density.h"
-#include "dds/flow_exact.h"
 #include "dds/lp_exact.h"
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -23,7 +21,7 @@ namespace {
 // afterwards, so every algorithm reports those uniformly.
 
 DdsSolution RunNaive(DdsEngine& engine, const DdsRequest&, SolveControl*) {
-  if (engine.weighted()) return WeightedNaiveExact(*engine.weighted_graph());
+  if (engine.weighted()) return NaiveExact(*engine.weighted_graph());
   return NaiveExact(*engine.graph());
 }
 

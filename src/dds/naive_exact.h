@@ -10,7 +10,7 @@
 /// Enumerates every non-empty (S, T) pair over bitmask subsets — Θ(4^n)
 /// pairs with O(n)-word edge counting — so it is usable only for n <= ~12.
 /// Not part of the paper; it exists to certify the flow/LP/core solvers on
-/// small random graphs.
+/// small random graphs, unweighted and weighted.
 
 namespace ddsgraph {
 
@@ -20,6 +20,10 @@ inline constexpr uint32_t kNaiveExactMaxVertices = 14;
 /// Finds the exact DDS by exhaustive enumeration. Ties are broken towards
 /// the lexicographically smallest (S mask, T mask) encountered first.
 DdsSolution NaiveExact(const Digraph& g);
+
+/// The weighted objective w(E(S,T)) / sqrt(|S| |T|), same enumeration and
+/// tie-break; `pair_edges` carries w(E(S,T)).
+DdsSolution NaiveExact(const WeightedDigraph& g);
 
 }  // namespace ddsgraph
 

@@ -1,10 +1,8 @@
 #include "dds/solver.h"
 
 #include <sstream>
-#include <utility>
 
 #include "dds/engine.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace ddsgraph {
@@ -74,15 +72,6 @@ ExactOptions ExactPresetFor(DdsAlgorithm algorithm, ExactOptions base) {
       break;
   }
   return base;
-}
-
-DdsSolution RunDdsAlgorithm(const Digraph& g, DdsAlgorithm algorithm) {
-  DdsEngine engine(g);
-  DdsRequest request;
-  request.algorithm = algorithm;
-  Result<DdsSolution> result = engine.Solve(request);
-  CHECK(result.ok()) << result.status().ToString();
-  return std::move(result).value();
 }
 
 std::string SolutionSummary(const DdsSolution& solution) {

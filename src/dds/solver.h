@@ -9,12 +9,10 @@
 #include "graph/digraph.h"
 
 /// \file
-/// Enum-keyed convenience facade over all DDS algorithms.
-///
-/// The names, exactness flags and dispatch below are all derived from the
-/// algorithm registry in dds/engine.h — this header stays the terse
-/// entry point for one-shot calls, while DdsEngine is the configurable,
-/// reusable one (options, weighted graphs, deadlines, cancellation).
+/// The DDS algorithm enum and its registry-derived helpers: names,
+/// exactness flags, the exact-engine presets, and the text/JSON renderings
+/// of a solution. The names and flags are read from the algorithm
+/// registry in dds/engine.h; solves go through DdsEngine.
 
 namespace ddsgraph {
 
@@ -48,15 +46,9 @@ bool IsWeightedCapableAlgorithm(DdsAlgorithm algorithm);
 /// conquer on/off, no core pruning, no per-guess refinement, no warm
 /// start) while preserving the engine knobs (incremental_probe,
 /// record_network_sizes, max_exhaustive_n). Identity for the other
-/// algorithms. The single source of preset truth for both the registry
-/// runners and the FlowExact / DcExact free functions.
+/// algorithms. The single source of preset truth: the registry runners
+/// and direct `SolveExactDds(g, ExactPresetFor(...))` callers share it.
 ExactOptions ExactPresetFor(DdsAlgorithm algorithm, ExactOptions base);
-
-/// Runs the selected algorithm on `g` with default options — a thin
-/// wrapper over DdsEngine (one-shot engine, no deadline). stats.seconds
-/// is always filled. Invalid requests are fatal here; use
-/// DdsEngine::Solve for the Status-returning path.
-DdsSolution RunDdsAlgorithm(const Digraph& g, DdsAlgorithm algorithm);
 
 /// One-line human-readable summary of a solution.
 std::string SolutionSummary(const DdsSolution& solution);

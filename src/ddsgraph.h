@@ -13,17 +13,16 @@
 #include "core/core_approx.h"             // IWYU pragma: export
 #include "core/xy_core.h"                 // IWYU pragma: export
 #include "core/xy_core_decomposition.h"   // IWYU pragma: export
+#include "dds/batch_peel_approx.h"        // IWYU pragma: export
 #include "dds/control.h"                  // IWYU pragma: export
 #include "dds/core_exact.h"               // IWYU pragma: export
 #include "dds/density.h"                  // IWYU pragma: export
 #include "dds/engine.h"                   // IWYU pragma: export
-#include "dds/flow_exact.h"               // IWYU pragma: export
 #include "dds/lp_exact.h"                 // IWYU pragma: export
 #include "dds/naive_exact.h"              // IWYU pragma: export
 #include "dds/peel_approx.h"              // IWYU pragma: export
 #include "dds/result.h"                   // IWYU pragma: export
 #include "dds/solver.h"                   // IWYU pragma: export
-#include "dds/weighted_dds.h"             // IWYU pragma: export
 #include "graph/degree.h"                 // IWYU pragma: export
 #include "graph/digraph.h"                // IWYU pragma: export
 #include "graph/digraph_builder.h"        // IWYU pragma: export

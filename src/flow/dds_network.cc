@@ -94,9 +94,9 @@ DdsNetwork BuildDdsNetwork(const G& g,
     out.b_sink_arcs.push_back(out.net.AddEdge(out.BNode(j), out.sink,
                                               cap_b_to_sink));
   }
-  // Compact the adjacency for the solvers while the arena is cache-hot;
-  // Reparameterize touches only capacities, so the CSR stays valid across
-  // the whole parametric guess sequence.
+  // Lay out the CSR while the arena is cache-hot; Reparameterize touches
+  // only capacities, so the layout stays valid across the whole
+  // parametric guess sequence.
   out.net.Finalize();
   return out;
 }
@@ -116,6 +116,7 @@ void ReparameterizeSinkArcs(FlowNetwork* net,
                             const std::vector<uint32_t>& b_sink_arcs,
                             FlowCap cap_a_to_sink, FlowCap cap_b_to_sink) {
   CHECK(net != nullptr);
+  CHECK(net->finalized());
   CHECK_EQ(source_arcs.size(), a_sink_arcs.size());
   // A side: the A node's whole inflow arrives over its source arc, so its
   // surplus drains in O(1) by cancelling that much source-arc flow.
@@ -135,8 +136,10 @@ void ReparameterizeSinkArcs(FlowNetwork* net,
     FlowCap excess = net->SetArcCapacity(arc, cap_b_to_sink);
     if (excess <= 0) continue;
     const uint32_t b_node = net->To(arc ^ 1);
-    for (uint32_t e = net->Head(b_node);
-         e != FlowNetwork::kNil && excess > kFlowEps; e = net->Next(e)) {
+    const uint32_t end = net->EndOut(b_node);
+    for (uint32_t k = net->FirstOut(b_node); k < end && excess > kFlowEps;
+         ++k) {
+      const uint32_t e = net->OutArc(k);
       if ((e & 1) == 0) continue;  // forward sink arc, not a drain path
       const FlowCap x = std::min(excess, net->Residual(e));
       if (x <= 0) continue;

@@ -167,8 +167,9 @@ DdsNetwork BuildDdsNetwork(const G& g,
 /// source arc, a B node's surplus walks back over its incoming
 /// flow-carrying A->B arcs. Requires the DDS layout: A nodes are ids
 /// 2..2+|A|, `source_arcs[i]` is the arc source -> ANode(i), and B nodes
-/// have only their sink arc and reverse A->B arcs in their adjacency.
-/// Shared by DdsNetwork::Reparameterize and the weighted probe.
+/// have only their sink arc and reverse A->B arcs in their adjacency,
+/// and `net` must be finalized (BuildDdsNetwork does this). Shared by
+/// DdsNetwork::Reparameterize and the weighted probe.
 void ReparameterizeSinkArcs(FlowNetwork* net,
                             const std::vector<uint32_t>& source_arcs,
                             const std::vector<uint32_t>& a_sink_arcs,

@@ -38,7 +38,7 @@ bool Dinic::BuildLevels(uint32_t source, uint32_t sink) {
     const uint32_t end = net_->EndOut(v);
     arcs_scanned_ += end - begin;
     for (uint32_t k = begin; k < end; ++k) {
-      // Heads first (contiguous via the adj_to_ mirror); the scattered
+      // Heads first (contiguous via the OutArcTo mirror); the scattered
       // capacity load is paid only for arcs into unlevelled nodes.
       const uint32_t w = net_->OutArcTo(k);
       if (Level(w) < 0 && net_->Residual(net_->OutArc(k)) > kFlowEps) {

@@ -7,18 +7,20 @@
 namespace ddsgraph {
 
 std::vector<bool> SourceSideOfMinCut(const FlowNetwork& net, uint32_t source) {
+  CHECK(net.finalized());
   std::vector<bool> reached(net.NumNodes(), false);
   std::vector<uint32_t> queue{source};
   reached[source] = true;
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     const uint32_t v = queue[qi];
-    net.ForEachOutArc(v, [&](uint32_t e) {
-      const uint32_t w = net.To(e);
-      if (!reached[w] && net.Residual(e) > kFlowEps) {
+    const uint32_t end = net.EndOut(v);
+    for (uint32_t k = net.FirstOut(v); k < end; ++k) {
+      const uint32_t w = net.OutArcTo(k);
+      if (!reached[w] && net.Residual(net.OutArc(k)) > kFlowEps) {
         reached[w] = true;
         queue.push_back(w);
       }
-    });
+    }
   }
   return reached;
 }
@@ -27,11 +29,12 @@ FlowCap CutCapacity(const FlowNetwork& net,
                     const std::vector<bool>& source_side) {
   CHECK_EQ(source_side.size(), net.NumNodes());
   FlowCap total = 0;
-  for (uint32_t v = 0; v < net.NumNodes(); ++v) {
-    if (!source_side[v]) continue;
-    net.ForEachOutArc(v, [&](uint32_t e) {
-      if (!source_side[net.To(e)]) total += net.InitialCap(e);
-    });
+  // Arc order, not adjacency order: the tail of arc e is To(e ^ 1), so
+  // this needs no CSR layout.
+  for (uint32_t e = 0; e < net.NumArcs(); ++e) {
+    if (source_side[net.To(e ^ 1)] && !source_side[net.To(e)]) {
+      total += net.InitialCap(e);
+    }
   }
   return total;
 }

@@ -129,7 +129,7 @@ void PushRelabel::Discharge(uint32_t v, uint32_t source, uint32_t sink) {
     }
     ++arcs_scanned_;
     ++work_since_global_;
-    // Heads first (contiguous via the adj_to_ mirror); the scattered
+    // Heads first (contiguous via the OutArcTo mirror); the scattered
     // capacity load is paid only for admissible-height arcs.
     const uint32_t w = net_->OutArcTo(current_[v]);
     if (height_[v] == height_[w] + 1) {

@@ -23,7 +23,7 @@ namespace ddsgraph {
 class PushRelabel {
  public:
   /// Wraps `network` (not owned); Solve mutates its residual capacities
-  /// and finalizes the network's CSR layout if it is stale.
+  /// and finalizes the network's CSR layout on first use.
   explicit PushRelabel(FlowNetwork* network);
 
   /// Computes the maximum s-t flow value, assuming the wrapped network

@@ -20,6 +20,14 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
+// The protocol is strict request/response with small frames, on both ends
+// of a connection: send each frame at once instead of letting Nagle hold
+// it until the peer's delayed ACK arrives.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void UniqueSocket::Close() {
@@ -67,7 +75,10 @@ Result<UniqueSocket> TcpListen(const std::string& host, int port,
 Result<UniqueSocket> TcpAccept(int listen_fd) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return UniqueSocket(fd);
+    if (fd >= 0) {
+      SetNoDelay(fd);
+      return UniqueSocket(fd);
+    }
     if (errno == EINTR) continue;
     // EBADF / EINVAL: the listener was closed or shut down under us —
     // the orderly stop path, not a failure.
@@ -145,9 +156,7 @@ Result<UniqueSocket> TcpConnect(const std::string& host, int port,
       return Errno("fcntl(restore flags)");
     }
   }
-  // The protocol is strict request/response; never batch tiny frames.
-  const int one = 1;
-  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(sock.fd());
   return sock;
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -30,8 +29,8 @@ TEST(BatchPeelApproxTest, BicliqueIsRecovered) {
 TEST(BatchPeelApproxTest, SelfConsistentReporting) {
   const Digraph g = RmatDigraph(7, 800, 4);
   const DdsSolution sol = BatchPeelApprox(g);
-  EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-12);
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
   EXPECT_GE(sol.upper_bound, sol.density);
   EXPECT_GT(sol.stats.ratios_probed, 0);
   EXPECT_GT(sol.stats.binary_search_iters, 0);  // total passes
@@ -127,7 +126,7 @@ TEST_P(WeightedBatchPeelGuaranteeTest, CertifiedBracketHolds) {
                 UniformDigraph(9, 26, static_cast<uint64_t>(seed) + 17),
                 static_cast<uint64_t>(seed) + 29, weights);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution exact = WeightedNaiveExact(g);
+  const DdsSolution exact = NaiveExact(g);
   const DdsSolution approx = BatchPeelApprox(g);
   EXPECT_LE(exact.density, approx.upper_bound + 1e-9)
       << "seed " << seed << " dist " << dist;

@@ -103,7 +103,7 @@ TEST(DdsNetworkTest, ExtractedPairMatchesCutSemantics) {
   ASSERT_FALSE(pair.s.empty());
   ASSERT_FALSE(pair.t.empty());
   const DdsPair dds_pair{pair.s, pair.t};
-  EXPECT_GT(LinearizedDensity(g, dds_pair, sqrt_a), guess);
+  EXPECT_GT(PairLinearizedDensity(g, dds_pair, sqrt_a), guess);
   for (VertexId u = 0; u < 3; ++u) {
     EXPECT_NE(std::find(pair.s.begin(), pair.s.end(), u), pair.s.end())
         << "biclique source " << u << " missing from cut";
@@ -121,7 +121,7 @@ TEST(DdsNetworkTest, InfeasibleGuessYieldsTrivialCut) {
   const auto side = SourceSideOfMinCut(net.net, net.source);
   const ExtractedPair pair = ExtractPairFromCut(net, side);
   const DdsPair dds_pair{pair.s, pair.t};
-  EXPECT_LE(LinearizedDensity(g, dds_pair, 1.0), 10.0);
+  EXPECT_LE(PairLinearizedDensity(g, dds_pair, 1.0), 10.0);
 }
 
 }  // namespace

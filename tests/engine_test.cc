@@ -7,7 +7,6 @@
 
 #include "dds/naive_exact.h"
 #include "dds/solver.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -94,7 +93,8 @@ TEST(DdsEngineTest, AllAlgorithmsReachableAndAgreeWithFreeFunctions) {
     request.algorithm = info.algorithm;
     const Result<DdsSolution> via_engine = engine.Solve(request);
     ASSERT_TRUE(via_engine.ok()) << info.name;
-    const DdsSolution direct = RunDdsAlgorithm(g, info.algorithm);
+    DdsEngine fresh(g);  // one-shot: no workspace shared with `engine`
+    const DdsSolution direct = fresh.Solve(request).value();
     EXPECT_EQ(via_engine.value().density, direct.density) << info.name;
     EXPECT_EQ(via_engine.value().pair.s, direct.pair.s) << info.name;
     EXPECT_EQ(via_engine.value().pair.t, direct.pair.t) << info.name;
@@ -106,7 +106,7 @@ TEST(DdsEngineTest, AllAlgorithmsReachableAndAgreeWithFreeFunctions) {
 TEST(DdsEngineTest, RepeatSolveReusesWorkspaceAndIsBitIdentical) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const Digraph g = UniformDigraph(24, 110, seed);
-    const DdsSolution one_shot = CoreExact(g);
+    const DdsSolution one_shot = SolveExactDds(g, ExactOptions{});
     DdsEngine engine(g);
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;
@@ -142,7 +142,7 @@ TEST(DdsEngineTest, WeightedFacadeMatchesDirectSolvers) {
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;
     const DdsSolution via_engine = engine.Solve(request).value();
-    const DdsSolution direct = WeightedCoreExact(g);
+    const DdsSolution direct = SolveExactDds(g, ExactOptions{});
     ExpectSameSolution(via_engine, direct);
 
     request.algorithm = DdsAlgorithm::kNaiveExact;
@@ -161,7 +161,7 @@ TEST(DdsEngineTest, WeightedEngineServesTheFullRegistry) {
   // and solves on a weighted engine, and approximations report certified
   // brackets of the weighted optimum.
   const WeightedDigraph g = RandomWeighted(8, 20, 3, 1);
-  const double optimum = WeightedNaiveExact(g).density;
+  const double optimum = NaiveExact(g).density;
   DdsEngine engine(g);
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     DdsRequest request;
@@ -175,7 +175,7 @@ TEST(DdsEngineTest, WeightedEngineServesTheFullRegistry) {
       EXPECT_LE(sol.density, optimum + 1e-9) << info.name;
       EXPECT_GE(sol.upper_bound + 1e-9, optimum) << info.name;
     }
-    EXPECT_NEAR(sol.density, WeightedDensity(g, sol.pair.s, sol.pair.t),
+    EXPECT_NEAR(sol.density, PairDensity(g, sol.pair.s, sol.pair.t),
                 1e-12)
         << info.name;
   }
@@ -442,7 +442,7 @@ TEST(AnytimeTest, WeightedDeadlineTruncationIsCertified) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const WeightedDigraph g = RandomWeighted(11, 40, 4, seed);
     if (g.TotalWeight() == 0) continue;
-    const double optimum = WeightedNaiveExact(g).density;
+    const double optimum = NaiveExact(g).density;
     DdsEngine engine(g);
     DdsRequest request;
     request.algorithm = DdsAlgorithm::kCoreExact;
@@ -458,7 +458,7 @@ TEST(AnytimeTest, WeightedDeadlineTruncationIsCertified) {
 // the next full solve still returns the exact answer.
 TEST(AnytimeTest, EngineRecoversAfterInterruptedSolve) {
   const Digraph g = UniformDigraph(12, 50, 9);
-  const DdsSolution one_shot = CoreExact(g);
+  const DdsSolution one_shot = SolveExactDds(g, ExactOptions{});
   DdsEngine engine(g);
   DdsRequest truncated;
   truncated.algorithm = DdsAlgorithm::kCoreExact;

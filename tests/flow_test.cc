@@ -1,5 +1,6 @@
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -165,41 +166,11 @@ TEST_P(RandomFlowTest, SolversAgreeAndDualityHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFlowTest, ::testing::Range(0, 40));
 
-// AddEdge after a solve (which finalizes the CSR layout) must mark the
-// layout stale and re-finalize lazily on the next solve, so the new arc is
-// actually traversed.
-TEST(FlowNetworkTest, LazyRefinalizeAfterAddEdge) {
-  FlowNetwork net(4);
-  net.AddEdge(0, 1, 2.0);
-  net.AddEdge(1, 3, 2.0);
-  Dinic dinic(&net);
-  EXPECT_NEAR(dinic.Solve(0, 3), 2.0, 1e-12);
-  EXPECT_TRUE(net.finalized());
-
-  net.AddEdge(0, 2, 1.5);  // second path s -> 2 -> t
-  net.AddEdge(2, 3, 1.5);
-  EXPECT_FALSE(net.finalized());
-  net.ResetFlow();
-  EXPECT_NEAR(dinic.Solve(0, 3), 3.5, 1e-12);
-  EXPECT_TRUE(net.finalized());
-}
-
-TEST(FlowNetworkTest, AddNodeAfterFinalizeInvalidatesLayout) {
-  FlowNetwork net(2);
-  net.AddEdge(0, 1, 1.0);
-  net.Finalize();
-  EXPECT_TRUE(net.finalized());
-  const uint32_t v = net.AddNode();
-  EXPECT_FALSE(net.finalized());
-  net.AddEdge(1, v, 1.0);
-  net.Finalize();
-  EXPECT_EQ(net.EndOut(v) - net.FirstOut(v), 1u);  // v's reverse arc
-}
-
-// CSR slot order must replicate the Head/Next walk exactly — that identity
-// is what makes list and CSR traversals (and with them the solvers'
-// trajectories) indistinguishable.
-TEST(FlowNetworkTest, CsrOrderMatchesListOrder) {
+// Finalize() lays each node's out-arcs into its slot range in descending
+// arc id (the solvers' scan order), mirrors each arc's head beside it, and
+// keeps the `e ^ 1` pairing; the layout is built once, so AddEdge after
+// it is fatal.
+TEST(FlowNetworkTest, FinalizeBuildsDescendingCsrOnce) {
   Rng rng(7);
   FlowNetwork net(12);
   for (int e = 0; e < 60; ++e) {
@@ -207,17 +178,28 @@ TEST(FlowNetworkTest, CsrOrderMatchesListOrder) {
     const uint32_t v = static_cast<uint32_t>(rng.NextBounded(12));
     if (u != v) net.AddEdge(u, v, 1.0 + static_cast<double>(e));
   }
+  EXPECT_FALSE(net.finalized());
   net.Finalize();
+  EXPECT_TRUE(net.finalized());
+  EXPECT_EQ(net.FirstOut(0), 0u);
+  EXPECT_EQ(net.EndOut(net.NumNodes() - 1), net.NumArcs());
+  std::vector<int> seen(net.NumArcs(), 0);
   for (uint32_t v = 0; v < net.NumNodes(); ++v) {
-    uint32_t slot = net.FirstOut(v);
-    for (uint32_t e = net.Head(v); e != FlowNetwork::kNil;
-         e = net.Next(e), ++slot) {
-      ASSERT_LT(slot, net.EndOut(v));
-      EXPECT_EQ(net.OutArc(slot), e);
-      EXPECT_EQ(net.OutArcTo(slot), net.To(e));
+    for (uint32_t k = net.FirstOut(v); k < net.EndOut(v); ++k) {
+      const uint32_t e = net.OutArc(k);
+      ++seen[e];
+      EXPECT_EQ(net.To(e ^ 1), v) << "arc " << e << " is not v's";
+      EXPECT_EQ(net.To((e ^ 1) ^ 1), net.To(e));
+      EXPECT_EQ(net.OutArcTo(k), net.To(e));
+      if (k > net.FirstOut(v)) {
+        EXPECT_GT(net.OutArc(k - 1), e);
+      }
     }
-    EXPECT_EQ(slot, net.EndOut(v));
   }
+  for (uint32_t e = 0; e < net.NumArcs(); ++e) EXPECT_EQ(seen[e], 1);
+  net.Finalize();  // idempotent
+  EXPECT_EQ(net.EndOut(net.NumNodes() - 1), net.NumArcs());
+  EXPECT_DEATH(net.AddEdge(0, 1, 1.0), "Check failed");
 }
 
 // Parametric re-solve sequences: shrink/grow arc capacities with

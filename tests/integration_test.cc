@@ -41,18 +41,23 @@ TEST_P(FamilyIntegrationTest, AllSolversAreConsistent) {
   const Digraph g = MakeFamilyGraph(family, static_cast<uint64_t>(seed));
   ASSERT_GT(g.NumEdges(), 0);
 
-  const DdsSolution exact = RunDdsAlgorithm(g, DdsAlgorithm::kCoreExact);
-  const DdsSolution dc = RunDdsAlgorithm(g, DdsAlgorithm::kDcExact);
-  const DdsSolution core_approx =
-      RunDdsAlgorithm(g, DdsAlgorithm::kCoreApprox);
-  const DdsSolution peel = RunDdsAlgorithm(g, DdsAlgorithm::kPeelApprox);
+  DdsEngine engine(g);
+  auto solve = [&engine](DdsAlgorithm algorithm) {
+    DdsRequest request;
+    request.algorithm = algorithm;
+    return engine.Solve(request).value();
+  };
+  const DdsSolution exact = solve(DdsAlgorithm::kCoreExact);
+  const DdsSolution dc = solve(DdsAlgorithm::kDcExact);
+  const DdsSolution core_approx = solve(DdsAlgorithm::kCoreApprox);
+  const DdsSolution peel = solve(DdsAlgorithm::kPeelApprox);
 
   // Exact solvers agree.
   EXPECT_NEAR(exact.density, dc.density, 1e-6);
   // Every solution reports the true density of its own pair.
   for (const DdsSolution* sol : {&exact, &dc, &core_approx, &peel}) {
-    EXPECT_NEAR(sol->density, DirectedDensity(g, sol->pair), 1e-9);
-    EXPECT_EQ(sol->pair_edges, CountPairEdges(g, sol->pair.s, sol->pair.t));
+    EXPECT_NEAR(sol->density, PairDensity(g, sol->pair), 1e-9);
+    EXPECT_EQ(sol->pair_edges, PairWeight(g, sol->pair.s, sol->pair.t));
   }
   // Approximations are bracketed: rho/2-ish below, their certified upper
   // bound above the optimum.
@@ -74,8 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IntegrationTest, WeightedAndUnweightedPipelinesAgreeOnUnitWeights) {
   const Digraph g = RmatDigraph(5, 150, 3);
   const WeightedDigraph wg = WeightedDigraph::FromDigraph(g);
-  EXPECT_NEAR(CoreExact(g).density, WeightedCoreExact(wg).density, 1e-6);
-  EXPECT_NEAR(CoreApprox(g).density, WeightedCoreApprox(wg).density, 1e-9);
+  EXPECT_NEAR(SolveExactDds(g, ExactOptions{}).density,
+              SolveExactDds(wg, ExactOptions{}).density, 1e-6);
+  EXPECT_NEAR(CoreApprox(g).density, CoreApprox(wg).density, 1e-9);
 }
 
 TEST(IntegrationTest, SnapRoundTripPreservesSolverOutput) {
@@ -84,7 +90,8 @@ TEST(IntegrationTest, SnapRoundTripPreservesSolverOutput) {
   ASSERT_TRUE(SaveSnapEdgeList(g, path).ok());
   const auto loaded = LoadSnapEdgeList(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_NEAR(CoreExact(g).density, CoreExact(loaded.value().graph).density,
+  EXPECT_NEAR(SolveExactDds(g, ExactOptions{}).density,
+              SolveExactDds(loaded.value().graph, ExactOptions{}).density,
               1e-9);
 }
 
@@ -92,13 +99,13 @@ TEST(IntegrationTest, SubgraphOfSolutionHasSameDensity) {
   // Inducing the pair-restricted subgraph of the optimum and re-solving
   // returns at least the same density (the optimum is self-contained).
   const Digraph g = RmatDigraph(6, 350, 8);
-  const DdsSolution sol = CoreExact(g);
+  const DdsSolution sol = SolveExactDds(g, ExactOptions{});
   std::vector<bool> keep_s(g.NumVertices(), false);
   std::vector<bool> keep_t(g.NumVertices(), false);
   for (VertexId u : sol.pair.s) keep_s[u] = true;
   for (VertexId v : sol.pair.t) keep_t[v] = true;
   const InducedSubgraph sub = InducePair(g, keep_s, keep_t);
-  const DdsSolution sub_sol = CoreExact(sub.graph);
+  const DdsSolution sub_sol = SolveExactDds(sub.graph, ExactOptions{});
   EXPECT_NEAR(sub_sol.density, sol.density, 1e-6);
 }
 

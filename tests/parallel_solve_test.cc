@@ -12,10 +12,10 @@
 #include "core/core_approx.h"
 #include "core/xy_core_decomposition.h"
 #include "dds/batch_peel_approx.h"
+#include "dds/core_exact.h"
 #include "dds/engine.h"
 #include "dds/naive_exact.h"
 #include "dds/peel_approx.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/thread_pool.h"
 
@@ -238,7 +238,7 @@ TEST(ParallelSolveTest, DirectParallelSolveHonorsCancellation) {
   // Cancellation via a shared thread-safe SolveControl with real worker
   // threads (no facade clamp): the bracket must stay certified.
   const Digraph g = UniformDigraph(40, 220, 7);
-  const double optimum = CoreExact(g).density;
+  const double optimum = SolveExactDds(g, ExactOptions{}).density;
   for (const int64_t budget : {1, 5, 25}) {
     ExactOptions options;
     options.threads = 4;
@@ -283,7 +283,7 @@ TEST(ParallelSolveTest, CancellationViaCallbackUnderThreadsBracketsOptimum) {
       const Digraph g = UniformDigraph(40, 220, 7);
       // Too large for NaiveExact; the sequential exact solve (validated
       // against NaiveExact elsewhere) is the optimum reference.
-      const double optimum = CoreExact(g).density;
+      const double optimum = SolveExactDds(g, ExactOptions{}).density;
       DdsEngine engine(g);
       DdsRequest request;
       request.algorithm = DdsAlgorithm::kCoreExact;

@@ -34,7 +34,8 @@ void ExpectFlowConserved(const FlowNetwork& net, uint32_t source,
   for (uint32_t v = 0; v < net.NumNodes(); ++v) {
     if (v == source || v == sink) continue;
     FlowCap net_outflow = 0;
-    for (uint32_t e = net.Head(v); e != FlowNetwork::kNil; e = net.Next(e)) {
+    for (uint32_t k = net.FirstOut(v); k < net.EndOut(v); ++k) {
+      const uint32_t e = net.OutArc(k);
       net_outflow += net.InitialCap(e) - net.Residual(e);
     }
     EXPECT_NEAR(net_outflow, 0.0, 1e-6) << "node " << v;
@@ -43,8 +44,8 @@ void ExpectFlowConserved(const FlowNetwork& net, uint32_t source,
 
 FlowCap TotalSourceOutflow(const FlowNetwork& net, uint32_t source) {
   FlowCap total = 0;
-  for (uint32_t e = net.Head(source); e != FlowNetwork::kNil;
-       e = net.Next(e)) {
+  for (uint32_t k = net.FirstOut(source); k < net.EndOut(source); ++k) {
+    const uint32_t e = net.OutArc(k);
     total += net.InitialCap(e) - net.Residual(e);
   }
   return total;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "dds/naive_exact.h"
-#include "dds/weighted_dds.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -34,8 +33,8 @@ TEST(PeelApproxTest, BicliqueIsRecovered) {
 TEST(PeelApproxTest, SolutionIsSelfConsistent) {
   const Digraph g = RmatDigraph(7, 900, 6);
   const DdsSolution sol = PeelApprox(g);
-  EXPECT_NEAR(sol.density, DirectedDensity(g, sol.pair), 1e-12);
-  EXPECT_EQ(sol.pair_edges, CountPairEdges(g, sol.pair.s, sol.pair.t));
+  EXPECT_NEAR(sol.density, PairDensity(g, sol.pair), 1e-12);
+  EXPECT_EQ(sol.pair_edges, PairWeight(g, sol.pair.s, sol.pair.t));
   EXPECT_GE(sol.upper_bound, sol.density);
   EXPECT_GT(sol.stats.ratios_probed, 0);
 }
@@ -139,7 +138,7 @@ TEST_P(WeightedPeelGuaranteeTest, CertifiedBracketHoldsOnWeightedGraphs) {
                 UniformDigraph(9, 26, static_cast<uint64_t>(seed) + 3),
                 static_cast<uint64_t>(seed) + 11, weights);
   if (g.TotalWeight() == 0) return;
-  const DdsSolution exact = WeightedNaiveExact(g);
+  const DdsSolution exact = NaiveExact(g);
   PeelApproxOptions options;
   options.epsilon = 0.1;
   const DdsSolution approx = PeelApprox(g, options);

@@ -5,6 +5,10 @@
 // "status": "ok" | "degraded" reasons (queue saturation, WAL fsync
 // errors, recent cache eviction) — unit-level and over the wire.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -190,6 +194,27 @@ TEST_F(ServeRetryTest, ReadTimeoutSurfacesAsUnavailable) {
   const Result<std::string> response = client.Call("{\"op\": \"health\"}");
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
+}
+
+// Both ends of a connection send each frame at once: without TCP_NODELAY
+// on the accepted socket, Nagle holds a server reply until the client's
+// delayed ACK, which rides on the client's next request.
+TEST_F(ServeRetryTest, AcceptedAndConnectedSocketsSetNoDelay) {
+  int port = 0;
+  const Result<UniqueSocket> listener = TcpListen("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.ok());
+  const Result<UniqueSocket> client = TcpConnect("127.0.0.1", port, 5.0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const Result<UniqueSocket> accepted = TcpAccept(listener.value().fd());
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  for (const UniqueSocket* sock : {&accepted.value(), &client.value()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(sock->fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_NE(nodelay, 0);
+  }
 }
 
 TEST_F(ServeRetryTest, ExhaustedRetriesReturnTheLastTransportError) {
