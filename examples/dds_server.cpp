@@ -9,8 +9,9 @@
 // ## Usage
 //
 //   # Serve two files: "web" unweighted, "reviews" weighted (u v w lines).
-//   ./build/dds_server --graphs "web=wiki-Vote.txt,reviews=reviews.wtxt:weighted" \
-//       --port 8642 --workers 4 --queue_capacity 128
+//   GRAPHS="web=wiki-Vote.txt,reviews=reviews.wtxt:weighted"
+//   FLAGS="--port 8642 --workers 4 --queue_capacity 128"
+//   ./build/dds_server --graphs "$GRAPHS" $FLAGS
 //
 //   # No data handy: serve three deterministic synthetic demo graphs.
 //   ./build/dds_server --generate_demo
@@ -19,8 +20,8 @@
 //
 // Frames are "<byte length>\n<json>\n". One request per frame:
 //
-//   printf '{"graph": "web", "algo": "core-exact", "deadline_ms": 50}' \
-//       | awk '{ print length($0); print }' | nc 127.0.0.1 8642
+//   REQ='{"graph": "web", "algo": "core-exact", "deadline_ms": 50}'
+//   printf '%s' "$REQ" | awk '{ print length($0); print }' | nc 127.0.0.1 8642
 //
 // Fields: graph (required catalog name), algo (any dds_tool --algo name),
 // weighted (optional expectation check), deadline_ms (end-to-end budget;

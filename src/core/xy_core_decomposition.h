@@ -60,14 +60,15 @@ extern template int64_t MaxYForX<WeightedDigraph>(const WeightedDigraph&,
 /// cap is reported truncated at (x_limit, y), still realized and
 /// y-maximal but not x-maximal.
 ///
-/// `pool`, when non-null with more than one worker, turns the walk into a
-/// speculative batched one (DESIGN.md §11): each round peels a batch of
-/// consecutive x values concurrently, reads every level boundary inside
-/// the batch straight off the monotone y sequence (those corners need no
-/// transpose peel at all), and falls back to one transpose jump only for
-/// the level still open at the batch's end. The staircase is a pure
-/// function of the graph, so the returned points are bit-identical to the
-/// sequential walk — speculation changes only which peels are executed.
+/// The walk is batched across `pool` (a one-worker pool when null;
+/// DESIGN.md §11): each round peels one consecutive x per worker (at
+/// most 16) concurrently, reads every level boundary inside the batch
+/// straight off the monotone y sequence (those corners need no transpose
+/// peel at all), and falls back to one transpose jump only for the level still open at
+/// the batch's end. One worker peels one x per round — the plain corner
+/// walk. The staircase is a pure function of the graph, so the returned
+/// points are bit-identical for every worker count — speculation changes
+/// only which peels are executed.
 /// `peels`, when non-null, receives the number of decomposition peels
 /// executed (the CoreApproxResult::sweeps accounting).
 template <typename G>

@@ -39,8 +39,8 @@ struct BatchPeelOptions {
   /// the O(n) read-only half of every pass. Chunks of the vertex range
   /// are scanned concurrently and their drop lists concatenated in chunk
   /// order, so the drop sets, their application order and hence the whole
-  /// run are bit-identical for every thread count. 1 (the default) is the
-  /// historical sequential scan.
+  /// run are bit-identical for every thread count. 1 (the default) scans
+  /// the whole range as one chunk on the caller.
   int threads = 1;
 };
 

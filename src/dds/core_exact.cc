@@ -54,18 +54,23 @@ struct EngineState {
   SolverStats stats;
 };
 
-// Engine-level stop check: reports global incumbent/bound progress to the
-// callback and latches the deadline. Cheap enough to call per interval.
+// The engine-level progress snapshot handed to the control: the global
+// incumbent and certified bound. Callers hold the search mutex and have
+// checked that `control` is set.
 template <typename G>
-bool StopRequested(EngineState<G>* state) {
-  if (state->control == nullptr) return false;
+DdsProgress ProgressOf(const EngineState<G>& state) {
   DdsProgress progress;
-  progress.lower_bound = state->incumbent_density;
-  progress.upper_bound = state->upper_global;
-  progress.ratios_probed = state->stats.ratios_probed;
-  progress.binary_search_iters = state->stats.binary_search_iters;
-  progress.elapsed_seconds = state->control->ElapsedSeconds();
-  return state->control->ShouldStop(progress);
+  progress.lower_bound = state.incumbent_density;
+  progress.upper_bound = state.upper_global;
+  progress.ratios_probed = state.stats.ratios_probed;
+  progress.binary_search_iters = state.stats.binary_search_iters;
+  progress.elapsed_seconds = state.control->ElapsedSeconds();
+  return progress;
+}
+
+template <typename G>
+bool ControlStopped(const EngineState<G>& state) {
+  return state.control != nullptr && state.control->stopped();
 }
 
 // Marks the solve interrupted and derives the anytime upper bound via
@@ -85,8 +90,11 @@ void FinishInterrupted(EngineState<G>* state,
                         state->upper_global);
 }
 
+// Folds a finished probe into the engine state; callers hold the search
+// mutex. The incumbent is replaced only by a strictly denser witness —
+// one rule for every worker count, warm-start incumbent included.
 template <typename G>
-void AbsorbProbeStats(const RatioProbeResult& probe, EngineState<G>* state) {
+void AbsorbProbe(const RatioProbeResult& probe, EngineState<G>* state) {
   ++state->stats.ratios_probed;
   state->stats.flow_networks_built += probe.networks_built;
   state->stats.flow_networks_reused += probe.networks_reused;
@@ -103,11 +111,6 @@ void AbsorbProbeStats(const RatioProbeResult& probe, EngineState<G>* state) {
                                       probe.network_sizes.begin(),
                                       probe.network_sizes.end());
   }
-}
-
-template <typename G>
-void MaybeUpdateIncumbent(const RatioProbeResult& probe,
-                          EngineState<G>* state) {
   if (!probe.best_pair.Empty() &&
       probe.best_density > state->incumbent_density) {
     state->incumbent = probe.best_pair;
@@ -140,28 +143,29 @@ struct ContextProbe {
 // context (when core pruning is on). The binary search starts from 0 so
 // that the returned h_upper genuinely tracks h(ratio) — that is what
 // powers the interval pruning — but is truncated at `stop_below` (see
-// header). Pure with respect to the engine state: everything it needs is
-// passed in, so concurrent workers can run probes side by side (each on
-// its own `workspace`) and absorb the results under a lock afterwards.
-// Any valid lower bound works as `incumbent_density`; a stale (smaller)
-// one merely yields a larger candidate core, never a wrong answer.
+// header). Reads only the fields of `state` that stay fixed for the whole
+// search and writes nothing but `workspace`, so workers run probes side
+// by side (each on its own workspace) and absorb the results under the
+// search mutex afterwards. Any valid lower bound works as
+// `incumbent_density`; a stale (smaller) one merely yields a larger
+// candidate core, never a wrong answer.
 //
 // `within`, when non-null, is a previously located core whose thresholds
 // were no stronger than this context's — the parent interval's candidate
 // core. Cores are nested, so the context core is located *inside it* in
 // O(|within|) instead of peeling the full graph (the same fixpoint comes
-// out; only the cost changes). The D&C loops thread each probe's located
+// out; only the cost changes). The D&C loop threads each probe's located
 // core to its two subintervals: the incumbent only rises and a child
 // context is a sub-interval, so the child's [x,y]-thresholds dominate
 // the parent's and the containment prerequisite always holds.
 template <typename G>
-ContextProbe ProbeInContextAt(const G& g, const ExactOptions& options,
-                              double delta, double upper_global,
+ContextProbe ProbeInContextAt(const EngineState<G>& state,
                               double incumbent_density, const Fraction& ratio,
                               const Fraction& lo_ctx, const Fraction& hi_ctx,
                               double stop_below, const CoreContext* within,
-                              ProbeWorkspace* workspace,
-                              SolveControl* control) {
+                              ProbeWorkspace* workspace) {
+  const G& g = *state.g;
+  const ExactOptions& options = state.options;
   ContextProbe result;
   std::vector<VertexId> s_cand;
   std::vector<VertexId> t_cand;
@@ -197,29 +201,30 @@ ContextProbe ProbeInContextAt(const G& g, const ExactOptions& options,
     }
   }
   result.probe = ProbeRatio(g, *probe_s, *probe_t, ratio, /*lower_start=*/0.0,
-                            upper_global, delta, options.refine_cores_in_probe,
+                            state.upper_global, state.delta,
+                            options.refine_cores_in_probe,
                             options.record_network_sizes, stop_below,
                             workspace, options.incremental_probe,
-                            options.flow_engine, control);
+                            options.flow_engine, state.control);
   return result;
 }
 
-// The sequential wrapper: probe with the live engine state and absorb the
-// outcome in place (the historical threads = 1 code path).
-template <typename G>
-ContextProbe ProbeInContext(const Fraction& ratio, const Fraction& lo_ctx,
-                            const Fraction& hi_ctx, double stop_below,
-                            const CoreContext* within, EngineState<G>* state) {
-  ContextProbe result = ProbeInContextAt(
-      *state->g, state->options, state->delta, state->upper_global,
-      state->incumbent_density, ratio, lo_ctx, hi_ctx, stop_below, within,
-      state->workspace, state->control);
-  if (!result.context_exhausted) {
-    AbsorbProbeStats(result.probe, state);
-    MaybeUpdateIncumbent(result.probe, state);
+// One ProbeWorkspace per pool worker. Worker 0 probes on the caller's
+// long-lived workspace (the engine serving path); the others own
+// per-solve private scratch.
+class WorkerWorkspaces {
+ public:
+  WorkerWorkspaces(ProbeWorkspace* caller, int workers)
+      : caller_(caller), others_(static_cast<size_t>(workers - 1)) {}
+  ProbeWorkspace* operator[](int worker) {
+    return worker == 0 ? caller_
+                       : &others_[static_cast<size_t>(worker - 1)];
   }
-  return result;
-}
+
+ private:
+  ProbeWorkspace* caller_;
+  std::vector<ProbeWorkspace> others_;
+};
 
 /// An interval on the work stack together with the located core of its
 /// *parent* context (null = locate on the full graph).
@@ -239,267 +244,123 @@ void FinishInterruptedWork(EngineState<G>* state,
   FinishInterrupted(state, &intervals);
 }
 
+// Divide and conquer over ratio intervals (DESIGN.md §11), one loop for
+// every worker count: the interval stack is shared by the pool's
+// workers, each of which pops, probes, and deposits subintervals. All
+// engine-state mutation (stats, incumbent, the stack) happens under one
+// mutex; probes run outside it. Each worker prunes against the freshest
+// incumbent available at pop time; a stale (lower) incumbent only makes
+// pruning more conservative, so exactness is untouched. On one worker
+// (ThreadPool(1) runs everything inline) this is exactly the depth-first
+// sequential search. Anytime semantics survive: a truncated probe still
+// returns certified bounds, its subintervals reach the stack before the
+// worker exits, and the certificate is derived from the drained stack
+// once every worker has stopped.
 template <typename G>
-void RunDivideAndConquer(EngineState<G>* state) {
+void RunDivideAndConquer(EngineState<G>* state, ThreadPool* pool) {
   const int64_t n = state->g->NumVertices();
   const Fraction lo = MinRatio(n);
   const Fraction hi = MaxRatio(n);
-  const ContextProbe probe_lo =
-      ProbeInContext(lo, lo, lo, 0.0, /*within=*/nullptr, state);
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-    return;
-  }
-  if (lo == hi) return;
-  const ContextProbe probe_hi =
-      ProbeInContext(hi, hi, hi, 0.0, /*within=*/nullptr, state);
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-    return;
-  }
+  WorkerWorkspaces workspaces(state->workspace, pool->num_workers());
+  std::mutex mu;
 
-  // The root interval locates its core on the full graph (the endpoint
-  // contexts are single ratios with *stronger* thresholds, so their cores
-  // do not contain the root's); every descendant locates within its
-  // parent's located core.
-  std::vector<IntervalWork> work;
-  work.push_back(IntervalWork{RatioInterval{lo, hi, probe_lo.probe.h_upper,
-                                            probe_hi.probe.h_upper},
-                              nullptr});
-  while (!work.empty()) {
-    // A probe truncated by the control still returns a certified (looser)
-    // h_upper, so the subintervals pushed below keep the invariant and
-    // this check can account for them on the next pass.
-    if (StopRequested(state)) {
-      FinishInterruptedWork(state, work);
-      return;
-    }
-    IntervalWork item = std::move(work.back());
-    work.pop_back();
-    const RatioInterval& interval = item.interval;
-    if (!HasRealizableRatioBetween(interval.lo, interval.hi, n)) continue;
-    const double bound = IntervalDensityBound(interval);
-    const double prune_at =
-        state->incumbent_density +
-        1e-9 * std::max(1.0, state->incumbent_density);
-    if (bound <= prune_at) {
-      ++state->stats.intervals_pruned;
-      continue;
-    }
-    std::optional<Fraction> mid = ProbeRatioForInterval(interval, n);
-    CHECK(mid.has_value());  // HasRealizableRatioBetween passed
-    // The weakest h_upper that still lets both subintervals be pruned:
-    // their phi factors are at most this interval's.
-    const double interval_phi = RatioMismatchPhi(
-        std::sqrt(interval.hi.ToDouble() / interval.lo.ToDouble()));
-    const double stop_below = state->incumbent_density / interval_phi;
-    const ContextProbe probe = ProbeInContext(
-        *mid, interval.lo, interval.hi, stop_below, item.parent.get(), state);
-    if (probe.context_exhausted) {
-      // Nothing anywhere in (lo, hi) beats the incumbent.
-      state->stats.intervals_pruned += 2;
-      continue;
-    }
-    work.push_back(IntervalWork{RatioInterval{interval.lo, *mid,
-                                              interval.h_upper_lo,
-                                              probe.probe.h_upper},
-                                probe.located});
-    work.push_back(IntervalWork{RatioInterval{*mid, interval.hi,
-                                              probe.probe.h_upper,
-                                              interval.h_upper_hi},
-                                probe.located});
-  }
-}
-
-template <typename G>
-void RunExhaustive(EngineState<G>* state) {
-  const int64_t n = state->g->NumVertices();
-  CHECK_LE(n, state->options.max_exhaustive_n)
-      << "exhaustive ratio enumeration is O(n^2); enable "
-         "divide_and_conquer for graphs this large";
-  for (const Fraction& ratio : AllRealizableRatios(n)) {
-    if (StopRequested(state)) {
-      FinishInterrupted(state, nullptr);
-      return;
-    }
-    // At a single ratio, any pair denser than the incumbent has linearized
-    // value > incumbent, so the descent may stop there.
-    ProbeInContext(ratio, ratio, ratio, state->incumbent_density,
-                   /*within=*/nullptr, state);
-  }
-  // The control can also fire inside the *last* ratio's probe, truncating
-  // its descent with no further loop iteration to notice; without this
-  // check the solve would claim proven optimality it doesn't have.
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-  }
-}
-
-// ------------------------------------------------------------------------
-// The parallel ratio-space search (DESIGN.md §11). Shapes shared by both
-// engines: every probe runs the pure ProbeInContextAt on a per-worker
-// ProbeWorkspace; all engine-state mutation (stats, incumbent, the
-// interval stack) happens under one mutex; and equal-density witnesses
-// are merged under a deterministic lowest-probe-ratio tie-break, so
-// among the witnesses that get reported the incumbent does not depend on
-// reporting order. (Which equal-density witnesses are reported at all
-// still depends on pruning against the evolving incumbent — only a
-// unique max-density witness makes the returned pair fully
-// schedule-independent; see ExactOptions::threads.)
-
-// Provenance of the shared incumbent: the ratio of the probe that set it,
-// or "not from a probe" for the warm start. On a density tie the
-// warm-start incumbent is kept (sequential parity: the sequential loop
-// replaces only on strictly greater density) and among probe witnesses
-// the lowest ratio wins.
-struct IncumbentTie {
-  Fraction ratio;
-  bool from_probe = false;
-};
-
-template <typename G>
-void MaybeUpdateIncumbentParallel(const RatioProbeResult& probe,
-                                  const Fraction& ratio, EngineState<G>* state,
-                                  IncumbentTie* tie) {
-  if (probe.best_pair.Empty()) return;
-  const bool better = probe.best_density > state->incumbent_density;
-  const bool tie_better = probe.best_density == state->incumbent_density &&
-                          tie->from_probe &&
-                          FractionLess(ratio, tie->ratio);
-  if (better || tie_better) {
-    state->incumbent = probe.best_pair;
-    state->incumbent_density = probe.best_density;
-    tie->ratio = ratio;
-    tie->from_probe = true;
-  }
-}
-
-// Work-sharing divide and conquer: the interval stack becomes a shared
-// pool from which every worker pops, probes, and deposits subintervals.
-// Each worker prunes against the freshest incumbent available at pop
-// time; a stale (lower) incumbent only makes pruning more conservative,
-// so exactness is untouched. Anytime semantics survive: a truncated
-// probe still returns certified bounds, its subintervals reach the stack
-// before the worker exits, and the certificate is derived from the
-// drained stack once every worker has stopped.
-template <typename G>
-void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
-  const G& g = *state->g;
-  const int64_t n = g.NumVertices();
-  const Fraction lo = MinRatio(n);
-  const Fraction hi = MaxRatio(n);
-  const int workers = pool->num_workers();
-  // Worker 0 probes on the caller's long-lived workspace (the engine
-  // serving path); the others own per-solve private scratch.
-  std::vector<ProbeWorkspace> private_workspaces(
-      static_cast<size_t>(workers - 1));
-  auto workspace_for = [&](int worker) {
-    return worker == 0 ? state->workspace
-                       : &private_workspaces[static_cast<size_t>(worker - 1)];
-  };
-  IncumbentTie tie;
-
-  // Endpoint probes: independent of each other, both against the
-  // warm-start incumbent, absorbed in (lo, hi) order.
+  // Endpoint probes, lo then hi. Each reads the incumbent when it starts
+  // and is absorbed as soon as it returns, so on one worker the hi probe
+  // prunes with the lo probe's witness; a probe that would start after
+  // the control fired is skipped.
   const int64_t num_endpoints = lo == hi ? 1 : 2;
   std::vector<ContextProbe> endpoint(static_cast<size_t>(num_endpoints));
-  const double incumbent0 = state->incumbent_density;
   pool->ParallelFor(num_endpoints, [&](int64_t i, int worker) {
+    if (ControlStopped(*state)) return;
     const Fraction& ratio = i == 0 ? lo : hi;
-    endpoint[static_cast<size_t>(i)] = ProbeInContextAt(
-        g, state->options, state->delta, state->upper_global, incumbent0,
-        ratio, ratio, ratio, /*stop_below=*/0.0, /*within=*/nullptr,
-        workspace_for(worker), state->control);
+    double incumbent = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      incumbent = state->incumbent_density;
+    }
+    ContextProbe probe =
+        ProbeInContextAt(*state, incumbent, ratio, ratio, ratio,
+                         /*stop_below=*/0.0, /*within=*/nullptr,
+                         workspaces[worker]);
+    std::lock_guard<std::mutex> lock(mu);
+    if (!probe.context_exhausted) AbsorbProbe(probe.probe, state);
+    endpoint[static_cast<size_t>(i)] = std::move(probe);
   });
-  for (int64_t i = 0; i < num_endpoints; ++i) {
-    const ContextProbe& probe = endpoint[static_cast<size_t>(i)];
-    if (probe.context_exhausted) continue;
-    AbsorbProbeStats(probe.probe, state);
-    MaybeUpdateIncumbentParallel(probe.probe, i == 0 ? lo : hi, state, &tie);
-  }
-  if (state->control != nullptr && state->control->stopped()) {
+  if (ControlStopped(*state)) {
     FinishInterrupted(state, nullptr);
     return;
   }
   if (num_endpoints == 1) return;
 
-  std::mutex mu;
+  // The root interval locates its core on the full graph (the endpoint
+  // contexts are single ratios with *stronger* thresholds, so their cores
+  // do not contain the root's); every descendant locates within its
+  // parent's located core.
   std::condition_variable cv;
   std::vector<IntervalWork> work;
   work.push_back(IntervalWork{RatioInterval{lo, hi, endpoint[0].probe.h_upper,
                                             endpoint[1].probe.h_upper},
                               nullptr});
-  int active = 0;
+  int active = 0;  // probes in flight
   bool stop_draining = false;
 
   pool->RunOnAllWorkers([&](int worker) {
-    ProbeWorkspace* workspace = workspace_for(worker);
+    ProbeWorkspace* workspace = workspaces[worker];
     std::unique_lock<std::mutex> lock(mu);
-    while (true) {
-      if (stop_draining) break;
-      // The sequential per-interval anytime cadence: deadline/callback
-      // checked before each pop. The progress snapshot is taken under
-      // the lock but the control (and with it the user callback) runs
-      // outside it, so a slow callback never serializes the other
-      // workers behind this one — the stop latch is sticky and atomic,
-      // so semantics are unchanged.
+    while (!stop_draining) {
+      if (work.empty()) {
+        if (active == 0) break;  // every interval is resolved
+        cv.wait(lock, [&] {
+          return stop_draining || !work.empty() || active == 0;
+        });
+        continue;
+      }
+      // Deadline/callback once per pop. The progress snapshot is taken
+      // under the lock but the control (and with it the user callback)
+      // runs outside it, so a slow callback never serializes the other
+      // workers behind this one — the stop latch is sticky and atomic.
       if (state->control != nullptr) {
-        DdsProgress progress;
-        progress.lower_bound = state->incumbent_density;
-        progress.upper_bound = state->upper_global;
-        progress.ratios_probed = state->stats.ratios_probed;
-        progress.binary_search_iters = state->stats.binary_search_iters;
-        progress.elapsed_seconds = state->control->ElapsedSeconds();
+        const DdsProgress progress = ProgressOf(*state);
         lock.unlock();
         const bool stop = state->control->ShouldStop(progress);
         lock.lock();
         if (stop || stop_draining) {
           stop_draining = true;
-          cv.notify_all();
           break;
         }
-      }
-      if (work.empty()) {
-        if (active == 0) {
-          cv.notify_all();
-          break;
-        }
-        cv.wait(lock);
-        continue;
+        if (work.empty()) continue;  // another worker took the last item
       }
       IntervalWork item = std::move(work.back());
       work.pop_back();
-      const RatioInterval interval = item.interval;
+      const RatioInterval& interval = item.interval;
       if (!HasRealizableRatioBetween(interval.lo, interval.hi, n)) continue;
       const double bound = IntervalDensityBound(interval);
-      const double incumbent_snapshot = state->incumbent_density;
-      const double prune_at =
-          incumbent_snapshot + 1e-9 * std::max(1.0, incumbent_snapshot);
+      const double incumbent = state->incumbent_density;
+      const double prune_at = incumbent + 1e-9 * std::max(1.0, incumbent);
       if (bound <= prune_at) {
         ++state->stats.intervals_pruned;
         continue;
       }
       std::optional<Fraction> mid = ProbeRatioForInterval(interval, n);
       CHECK(mid.has_value());  // HasRealizableRatioBetween passed
+      // The weakest h_upper that still lets both subintervals be pruned:
+      // their phi factors are at most this interval's.
       const double interval_phi = RatioMismatchPhi(
           std::sqrt(interval.hi.ToDouble() / interval.lo.ToDouble()));
-      const double stop_below = incumbent_snapshot / interval_phi;
+      const double stop_below = incumbent / interval_phi;
       ++active;
       lock.unlock();
-      const ContextProbe probe = ProbeInContextAt(
-          g, state->options, state->delta, state->upper_global,
-          incumbent_snapshot, *mid, interval.lo, interval.hi, stop_below,
-          item.parent.get(), workspace, state->control);
+      const ContextProbe probe =
+          ProbeInContextAt(*state, incumbent, *mid, interval.lo, interval.hi,
+                           stop_below, item.parent.get(), workspace);
       lock.lock();
       --active;
       if (probe.context_exhausted) {
-        // Nothing anywhere in (lo, hi) beats the snapshot incumbent.
+        // Nothing anywhere in (lo, hi) beats the incumbent it ran with.
         state->stats.intervals_pruned += 2;
-        cv.notify_all();
         continue;
       }
-      AbsorbProbeStats(probe.probe, state);
-      MaybeUpdateIncumbentParallel(probe.probe, *mid, state, &tie);
+      AbsorbProbe(probe.probe, state);
       // Subintervals reach the stack even after a truncated probe — the
       // truncated h_upper is still certified, which is what keeps the
       // anytime bound valid when the loop drains below.
@@ -513,68 +374,56 @@ void RunDivideAndConquerParallel(EngineState<G>* state, ThreadPool* pool) {
                                   probe.located});
       cv.notify_all();
     }
+    cv.notify_all();  // wake waiters to see the finish or the stop
   });
 
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterruptedWork(state, work);
-  }
+  // Without a stop the workers only leave on an empty stack; anything
+  // still on it is outstanding work the certificate has to cover.
+  if (!work.empty()) FinishInterruptedWork(state, work);
 }
 
-// Parallel exhaustive enumeration: the realizable ratios fan out across
-// the pool; each probe truncates its descent at the freshest incumbent
-// snapshot and results merge under the same lowest-ratio tie-break.
+// Exhaustive enumeration: the realizable ratios fan out across the pool
+// (in index order on one worker). Each probe truncates its descent at
+// the freshest incumbent, read when the probe starts.
 template <typename G>
-void RunExhaustiveParallel(EngineState<G>* state, ThreadPool* pool) {
-  const G& g = *state->g;
-  const int64_t n = g.NumVertices();
+void RunExhaustive(EngineState<G>* state, ThreadPool* pool) {
+  const int64_t n = state->g->NumVertices();
   CHECK_LE(n, state->options.max_exhaustive_n)
       << "exhaustive ratio enumeration is O(n^2); enable "
          "divide_and_conquer for graphs this large";
   const std::vector<Fraction> ratios = AllRealizableRatios(n);
-  const int workers = pool->num_workers();
-  std::vector<ProbeWorkspace> private_workspaces(
-      static_cast<size_t>(workers - 1));
+  WorkerWorkspaces workspaces(state->workspace, pool->num_workers());
   std::mutex mu;
-  IncumbentTie tie;
   pool->ParallelFor(
       static_cast<int64_t>(ratios.size()), [&](int64_t i, int worker) {
-        double incumbent_snapshot;
-        DdsProgress snapshot;
+        double incumbent = 0;
+        DdsProgress progress;
         {
           std::lock_guard<std::mutex> lock(mu);
-          incumbent_snapshot = state->incumbent_density;
-          snapshot.lower_bound = state->incumbent_density;
-          snapshot.upper_bound = state->upper_global;
-          snapshot.ratios_probed = state->stats.ratios_probed;
-          snapshot.binary_search_iters = state->stats.binary_search_iters;
+          incumbent = state->incumbent_density;
+          if (state->control != nullptr) progress = ProgressOf(*state);
         }
-        // The control (and the user callback) runs outside the stats
-        // mutex so a slow callback cannot serialize the pool.
-        if (state->control != nullptr) {
-          snapshot.elapsed_seconds = state->control->ElapsedSeconds();
-          if (state->control->ShouldStop(snapshot)) {
-            return;  // drain the remaining ratios
-          }
+        // The control (and the user callback) runs outside the mutex so
+        // a slow callback cannot serialize the pool; once it has fired,
+        // the remaining ratios drain unprobed.
+        if (state->control != nullptr &&
+            state->control->ShouldStop(progress)) {
+          return;
         }
         const Fraction& ratio = ratios[static_cast<size_t>(i)];
         // At a single ratio, any pair denser than the incumbent has
         // linearized value > incumbent, so the descent may stop there.
         const ContextProbe probe = ProbeInContextAt(
-            g, state->options, state->delta, state->upper_global,
-            incumbent_snapshot, ratio, ratio, ratio,
-            /*stop_below=*/incumbent_snapshot, /*within=*/nullptr,
-            worker == 0
-                ? state->workspace
-                : &private_workspaces[static_cast<size_t>(worker - 1)],
-            state->control);
+            *state, incumbent, ratio, ratio, ratio,
+            /*stop_below=*/incumbent, /*within=*/nullptr, workspaces[worker]);
         if (probe.context_exhausted) return;
         std::lock_guard<std::mutex> lock(mu);
-        AbsorbProbeStats(probe.probe, state);
-        MaybeUpdateIncumbentParallel(probe.probe, ratio, state, &tie);
+        AbsorbProbe(probe.probe, state);
       });
-  if (state->control != nullptr && state->control->stopped()) {
-    FinishInterrupted(state, nullptr);
-  }
+  // The control can also fire inside the *last* ratio's probe, truncating
+  // its descent with no further ratio to notice; without this check the
+  // solve would claim proven optimality it doesn't have.
+  if (ControlStopped(*state)) FinishInterrupted(state, nullptr);
 }
 
 }  // namespace
@@ -781,8 +630,8 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
   if (g.TotalWeight() == 0) return solution;
 
   // One pool for the whole solve: the warm start's skyline walk and the
-  // ratio-space search share it. threads = 1 spawns nothing and every
-  // phase runs the historical sequential code inline.
+  // ratio-space search share it. threads = 1 spawns nothing; every phase
+  // runs its one loop inline on the caller.
   ThreadPool pool(options.threads);
 
   EngineState<G> state;
@@ -808,12 +657,10 @@ DdsSolution SolveExactDds(const G& g, const ExactOptions& options,
     }
   }
 
-  const bool parallel = pool.num_workers() > 1;
   if (options.divide_and_conquer) {
-    parallel ? RunDivideAndConquerParallel(&state, &pool)
-             : RunDivideAndConquer(&state);
+    RunDivideAndConquer(&state, &pool);
   } else {
-    parallel ? RunExhaustiveParallel(&state, &pool) : RunExhaustive(&state);
+    RunExhaustive(&state, &pool);
   }
 
   solution.pair = std::move(state.incumbent);

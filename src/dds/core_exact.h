@@ -84,21 +84,20 @@ struct ExactOptions {
   /// materializes O(n^2) fractions.
   int64_t max_exhaustive_n = 2000;
   /// Worker count for the ratio-space search (util/thread_pool.h,
-  /// DESIGN.md §11). With threads > 1 the divide-and-conquer interval
-  /// stack becomes a work-sharing loop (independent intervals probed
-  /// concurrently against an atomic shared incumbent, one
-  /// ProbeWorkspace per worker) and the exhaustive enumeration fans its
-  /// ratios across the pool. The returned density is the exact optimum
-  /// either way — pruning against a stale incumbent is only ever
-  /// conservative. When the max-density witness is unique the returned
-  /// pair is that witness, identical to the sequential solve's; a graph
-  /// with several optimum pairs can return any of them (the
-  /// lowest-probe-ratio tie-break removes dependence on witness
-  /// *reporting* order, but which witnesses get reported at all depends
-  /// on pruning against the evolving incumbent and is
-  /// schedule-dependent, as are the SolverStats trajectory counters). 1
-  /// (the default) runs the historical sequential search,
-  /// bit-identically.
+  /// DESIGN.md §11). The divide-and-conquer interval stack is one
+  /// work-sharing loop for every count (intervals probed concurrently
+  /// against a shared incumbent, one ProbeWorkspace per worker) and the
+  /// exhaustive enumeration fans its ratios across the pool; 1 (the
+  /// default) runs the same loops on one worker, which is exactly the
+  /// depth-first sequential search. The returned density is the exact
+  /// optimum for every count — pruning against a stale incumbent is only
+  /// ever conservative — and the incumbent is replaced only by a strictly
+  /// denser witness. When the max-density witness is unique the returned
+  /// pair is that witness at every count; a graph with several optimum
+  /// pairs can return any of them under threads > 1, because which
+  /// witnesses get reported at all depends on pruning against the
+  /// evolving incumbent and is schedule-dependent, as are the
+  /// SolverStats trajectory counters.
   int threads = 1;
 };
 

@@ -221,12 +221,13 @@ void RequestScheduler::Process(std::unique_ptr<Flight> flight) {
     response.entry = flight->entry;
     response.version = solved_version;
     response.coalesced = waiters[i].coalesced;
-    // Per-waiter end-to-end accounting: everything since this request's
-    // own admission that wasn't the shared solve was waiting. Followers
-    // that attached mid-solve clamp to 0.
-    response.solve_ms = solve_ms;
-    response.queue_ms =
-        std::max(0.0, waiters[i].queued_at.Millis() - solve_ms);
+    // Per-waiter end-to-end accounting that sums to this request's own
+    // wait: the shared solve counts only as far as the request was there
+    // for it (a follower that attached mid-solve saw only its tail), and
+    // the rest of the wait was queueing.
+    const double waited_ms = waiters[i].queued_at.Millis();
+    response.solve_ms = std::min(solve_ms, waited_ms);
+    response.queue_ms = waited_ms - response.solve_ms;
     if (solved.ok()) {
       response.solution = solved.value();
       response.solution.stats.queue_ms = response.queue_ms;

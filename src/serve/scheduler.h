@@ -58,10 +58,12 @@
 /// solve with a zero remaining budget — the anytime exact engine then
 /// returns its incumbent with a certified [lower, upper] bracket at the
 /// first control check instead of the scheduler inventing an empty
-/// "timed out" answer. Coalesced waiters are charged the same way: their
-/// `queue_ms` runs from their own admission to the shared solve's
-/// completion, minus the solve time itself (deadlined requests never
-/// coalesce, so the charge is reporting, not budget).
+/// "timed out" answer. Coalesced waiters are accounted from their own
+/// admission too: `solve_ms` is the shared solve's time capped at the
+/// waiter's own wait (a follower that attached mid-solve saw only its
+/// tail) and `queue_ms` is the rest, so the two always sum to the
+/// waiter's admission-to-completion time (deadlined requests never
+/// coalesce, so the split is reporting, not budget).
 ///
 /// Counter semantics: `accepted`/`served` count the asynchronous path —
 /// flights plus attached waiters — and stay equal after a drain. Cache
@@ -93,8 +95,12 @@ struct ServeRequest {
 struct ServeResponse {
   Status status;
   DdsSolution solution;
-  double queue_ms = 0;  ///< admission → worker pickup (0 on a cache hit)
-  double solve_ms = 0;  ///< worker pickup → solve return (0 on a hit)
+  /// admission → worker pickup (0 on a cache hit); for a coalesced
+  /// waiter, its own wait minus `solve_ms`
+  double queue_ms = 0;
+  /// worker pickup → solve return (0 on a hit); for a coalesced waiter,
+  /// capped at its own wait
+  double solve_ms = 0;
   const CatalogEntry* entry = nullptr;  ///< resolved catalog entry
   /// Entry version the solution corresponds to — what the response cache
   /// keys on, and what clients compare against update acks to check

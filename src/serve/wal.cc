@@ -428,13 +428,18 @@ Status SaveGraphSnapshot(const std::string& path,
                                 : static_cast<int64_t>(snapshot.edges.size());
   std::string body = "ddssnap 1 ";
   body += snapshot.weighted ? "1" : "0";
-  body += " " + std::to_string(snapshot.version);
-  body += " " + std::to_string(snapshot.num_vertices);
-  body += " " + std::to_string(num_edges) + "\n";
+  body += ' ';
+  body += std::to_string(snapshot.version);
+  body += ' ';
+  body += std::to_string(snapshot.num_vertices);
+  body += ' ';
+  body += std::to_string(num_edges);
+  body += '\n';
   if (!snapshot.labels.empty()) {
     body += "labels";
     for (const uint64_t label : snapshot.labels) {
-      body += " " + std::to_string(label);
+      body += ' ';
+      body += std::to_string(label);
     }
     body += "\n";
   }

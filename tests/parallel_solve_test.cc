@@ -1,10 +1,12 @@
 // Tests for the shared-memory parallel solve layer (DESIGN.md §11):
 // bit-identity of the parallel approximations against their sequential
-// runs, density + pair identity of the parallel exact solvers, and
+// runs, density + pair identity of the parallel exact solvers (an
+// optimum pair and a closed bracket when several pairs tie), and
 // anytime deadline/cancel semantics under threads > 1.
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,9 +15,12 @@
 #include "core/xy_core_decomposition.h"
 #include "dds/batch_peel_approx.h"
 #include "dds/core_exact.h"
+#include "dds/density.h"
 #include "dds/engine.h"
 #include "dds/naive_exact.h"
 #include "dds/peel_approx.h"
+#include "dds/solver.h"
+#include "graph/digraph_builder.h"
 #include "graph/generators.h"
 #include "util/thread_pool.h"
 
@@ -169,6 +174,55 @@ TEST(ParallelSolveTest, ExactSolversDensityAndPairIdenticalAcrossThreads) {
       }
       request.threads = 1;
     }
+  }
+}
+
+// Several optimum pairs of equal density: two vertex-disjoint copies of
+// K_{2,3} (0,1 -> 2,3,4 and 5,6 -> 7,8,9). Each copy and their union all
+// have density sqrt(6), so which one a solve returns depends on the
+// incumbent rule (strictly greater replaces) and, under threads > 1, on
+// the schedule. Every thread count must still return *an* optimum pair
+// with a closed bracket, and threads = 1 must return the same pair from
+// a fresh engine, a reused engine and the free function.
+Digraph TwoDisjointBicliques() {
+  DigraphBuilder builder(10);
+  for (VertexId base : {0u, 5u}) {
+    for (VertexId s = 0; s < 2; ++s) {
+      for (VertexId t = 2; t < 5; ++t) builder.AddEdge(base + s, base + t);
+    }
+  }
+  return std::move(builder).Build();
+}
+
+TEST(ParallelSolveTest, ExactSolversReturnAnOptimumPairUnderTies) {
+  const Digraph g = TwoDisjointBicliques();
+  const double optimum = NaiveExact(g).density;
+  EXPECT_NEAR(optimum, std::sqrt(6.0), 1e-12);
+  for (const DdsAlgorithm algorithm :
+       {DdsAlgorithm::kDcExact, DdsAlgorithm::kCoreExact}) {
+    DdsRequest request;
+    request.algorithm = algorithm;
+    for (int threads : {1, 2, 4, 8}) {
+      request.threads = threads;
+      DdsEngine engine(g);
+      const DdsSolution sol = engine.Solve(request).value();
+      EXPECT_NEAR(sol.density, optimum, 1e-9)
+          << AlgorithmName(algorithm) << " threads " << threads;
+      EXPECT_NEAR(PairDensity(g, sol.pair), optimum, 1e-9)
+          << AlgorithmName(algorithm) << " threads " << threads;
+      EXPECT_EQ(sol.lower_bound, sol.upper_bound)
+          << AlgorithmName(algorithm) << " threads " << threads;
+      EXPECT_FALSE(sol.interrupted);
+    }
+
+    request.threads = 1;
+    DdsEngine engine(g);
+    const DdsSolution fresh = engine.Solve(request).value();
+    const DdsSolution reused = engine.Solve(request).value();
+    const DdsSolution direct =
+        SolveExactDds(g, ExactPresetFor(algorithm, ExactOptions{}));
+    ExpectSameSolution(reused, fresh);
+    ExpectSameSolution(direct, fresh);
   }
 }
 

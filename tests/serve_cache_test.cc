@@ -5,6 +5,7 @@
 // the update-vs-cached-solve-vs-stats race (TSan CI runs this suite).
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "serve/server.h"
 #include "stream/edge_stream.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace ddsgraph {
 namespace {
@@ -378,6 +380,72 @@ TEST(ServeBatchingTest, SameGraphFlightsRunAsOneGroup) {
     }
     EXPECT_GE(matches, 1) << "no response matched a direct solve";
   }
+}
+
+TEST(ServeCacheTest, CoalescedLatencySplitFitsTheOwnRoundTrip) {
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.AddGraph("uni", UniformDigraph(60, 300, 3)).ok());
+  RequestScheduler scheduler(&catalog, CachedOptions(2, 16));
+  scheduler.Start();
+
+  struct Timed {
+    ServeResponse response;
+    double round_trip_ms = 0;  // submit to callback, measured here
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Timed> done;
+  const auto submit = [&](ServeRequest request) {
+    const WallTimer submitted;
+    return scheduler.Submit(
+        std::move(request), [&, submitted](ServeResponse response) {
+          const double round_trip_ms = submitted.Millis();
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            done.push_back(Timed{std::move(response), round_trip_ms});
+          }
+          cv.notify_all();
+        });
+  };
+
+  // The gated (uncachable) solve holds the "uni" entry lock, so the
+  // leader's solve timer runs while it blocks on that lock.
+  SolveGate gate;
+  ServeRequest gated = MakeRequest("uni", DdsAlgorithm::kCoreExact);
+  gated.request.progress = gate.AsProgress();
+  ASSERT_TRUE(submit(std::move(gated)).ok());
+  gate.WaitEntered();
+  ASSERT_TRUE(submit(MakeRequest("uni", DdsAlgorithm::kCoreExact)).ok());
+  while (scheduler.queued() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The follower attaches mid-solve: it waits far less than the leader's
+  // solve time.
+  ASSERT_TRUE(submit(MakeRequest("uni", DdsAlgorithm::kCoreExact)).ok());
+  EXPECT_EQ(scheduler.coalesced(), 1);
+  gate.Release();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done.size() >= 3; });
+  }
+  scheduler.Stop();
+
+  int followers = 0;
+  for (const Timed& timed : done) {
+    const ServeResponse& r = timed.response;
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    if (r.coalesced) ++followers;
+    EXPECT_GE(r.queue_ms, 0.0);
+    EXPECT_GE(r.solve_ms, 0.0);
+    EXPECT_LE(r.queue_ms + r.solve_ms, timed.round_trip_ms + 0.5)
+        << "coalesced " << r.coalesced << " queue_ms " << r.queue_ms
+        << " solve_ms " << r.solve_ms;
+    EXPECT_EQ(r.solution.stats.queue_ms, r.queue_ms);
+    EXPECT_EQ(r.solution.stats.solve_ms, r.solve_ms);
+  }
+  EXPECT_EQ(followers, 1);
 }
 
 // ------------------------------------------------------------ wire level
